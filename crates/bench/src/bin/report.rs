@@ -132,8 +132,8 @@ fn main() {
                 headlines.extend(h);
                 println!("{s}");
             }
-            "e15" | "batch" => {
-                let (h, s) = sqo_bench::batch_execution(seed, smoke);
+            "e15" | "costing" => {
+                let (h, s) = sqo_bench::cold_optimize_plan(seed, smoke);
                 headlines.extend(h);
                 println!("{s}");
             }

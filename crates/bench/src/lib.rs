@@ -19,7 +19,7 @@
 //! | E12 | write-batch latency (O(touched) claim) | [`experiments::write_path_scaling`] |
 //! | E13 | warm start (snapshot load vs cold boot) | [`experiments::warm_start_boot`] |
 //! | E14 | open-loop frontend (dedup, admission, shedding) | [`experiments::frontend_open_loop`] |
-//! | E15 | batched execution (gather windows, batched costing) | [`experiments::batch_execution`] |
+//! | E15 | cold optimize+plan latency (batched candidate costing) | [`experiments::cold_optimize_plan`] |
 //!
 //! The `report` binary prints any subset (and emits machine-readable
 //! headline numbers with `--json <path>`); the Criterion benches under
@@ -35,8 +35,8 @@ pub mod fmt;
 pub mod json;
 
 pub use experiments::{
-    baseline_comparison, batch_execution, budget_sweep, calibrate_units_per_second,
-    closure_ablation, cold_path_latency, e10_headlines, e11_headlines, e9_headlines,
+    baseline_comparison, budget_sweep, calibrate_units_per_second, closure_ablation,
+    cold_optimize_plan, cold_path_latency, e10_headlines, e11_headlines, e9_headlines,
     fig41_headlines, figure41, frontend_open_loop, grouping, mutable_serving, service_throughput,
     table41, table42, table42_headlines, warm_start_boot, write_path_scaling, E10Row, E11Row,
     E9Row, Fig41Point, Table42Row,

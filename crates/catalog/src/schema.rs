@@ -6,13 +6,11 @@
 //! declared per attribute because the transformation tables of the paper
 //! (Tables 3.1/3.2) branch on whether a consequent predicate is *indexed*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ClassId, RelId};
 use crate::types::DataType;
 
 /// The physical index maintained over an attribute, if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Hash index: supports equality probes only.
     Hash,
@@ -21,7 +19,7 @@ pub enum IndexKind {
 }
 
 /// Declaration of a single attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeDef {
     pub name: String,
     pub ty: DataType,
@@ -50,7 +48,7 @@ impl AttributeDef {
 /// the catalog builder materializes inherited attributes into the subclass so
 /// that attribute ids remain class-local (the paper's `driver` inherits
 /// `name, clearance, rank, belongsTo` from `employee`, for example).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDef {
     pub name: String,
     pub attributes: Vec<AttributeDef>,
@@ -59,14 +57,14 @@ pub struct ClassDef {
 
 /// How many objects of the far class one object may link to through a
 /// relationship end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Multiplicity {
     One,
     Many,
 }
 
 /// One end of a binary relationship.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelationshipEnd {
     pub class: ClassId,
     /// Multiplicity *towards the opposite end*: a `supplier -< cargo`
@@ -86,7 +84,7 @@ impl RelationshipEnd {
 }
 
 /// A named binary relationship between two object classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationshipDef {
     pub name: String,
     pub left: RelationshipEnd,

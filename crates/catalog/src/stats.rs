@@ -10,13 +10,11 @@
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AttrRef, ClassId, RelId};
 use crate::types::Value;
 
 /// Per-attribute statistics, collected by the storage loader.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttrStats {
     /// Number of rows observed.
     pub rows: u64,
@@ -102,14 +100,14 @@ impl AttrStats {
 }
 
 /// Per-class statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassStats {
     pub cardinality: u64,
     pub attrs: Vec<AttrStats>,
 }
 
 /// Per-relationship statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RelStats {
     /// Total number of links.
     pub links: u64,
@@ -120,7 +118,7 @@ pub struct RelStats {
 }
 
 /// Snapshot of all statistics for a database instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     pub classes: Vec<ClassStats>,
     pub relationships: Vec<RelStats>,

@@ -15,14 +15,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sqo_catalog::{Catalog, ClassId, RelId};
 use sqo_query::{Predicate, Query};
 
 use crate::error::ConstraintError;
 
 /// Identifier of a constraint within a [`ConstraintStore`](crate::ConstraintStore).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConstraintId(pub u32);
 
 impl ConstraintId {
@@ -40,14 +39,14 @@ impl fmt::Display for ConstraintId {
 
 /// The paper's intra/inter classification (§3.2): intra-class constraints
 /// reference attributes of exactly one object class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstraintClass {
     Intra,
     Inter,
 }
 
 /// Where a constraint came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Origin {
     /// Declared integrity constraint (always true of the database).
     Declared,
@@ -59,7 +58,7 @@ pub enum Origin {
 }
 
 /// A validated Horn-clause constraint over a catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HornConstraint {
     /// Human-oriented label ("c1", "refrigerated-trucks-carry-frozen-food").
     pub name: String,

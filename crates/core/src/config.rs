@@ -3,10 +3,8 @@
 //! Defaults follow the paper; the switches exist to power the ablation
 //! benchmarks (DESIGN.md experiments E5–E8).
 
-use serde::{Deserialize, Serialize};
-
 /// How antecedent/consequent presence in the query is decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchPolicy {
     /// A query predicate satisfies an antecedent if it *implies* it
     /// (`B > 15` satisfies `B > 10`). Consequent presence for elimination
@@ -18,7 +16,7 @@ pub enum MatchPolicy {
 }
 
 /// Which tag-assignment rule the transformation step uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TagPolicy {
     /// Tables 3.1/3.2 (normative): intra-class constraints lower to
     /// `Redundant` unless the consequent is on an indexed attribute, in
@@ -31,7 +29,7 @@ pub enum TagPolicy {
 }
 
 /// Queue discipline for pending transformations (§4 extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueDiscipline {
     /// First-in first-out — the base algorithm.
     #[default]
@@ -43,7 +41,7 @@ pub enum QueueDiscipline {
 }
 
 /// Full configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     pub match_policy: MatchPolicy,
     pub tag_policy: TagPolicy,

@@ -12,14 +12,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a predicate (§3.1):
 /// * **Imperative** — removal would change the query's results;
 /// * **Optional** — result-neutral, but may pay for itself (index use,
 ///   smaller intermediates); kept subject to cost–benefit analysis;
 /// * **Redundant** — affects neither results nor efficiency; dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredicateTag {
     Imperative,
     Optional,
@@ -66,7 +64,7 @@ impl fmt::Display for PredicateTag {
 
 /// State of one cell `t(cᵢ, pⱼ)` of the transformation table (§3.1):
 /// how predicate `pⱼ` relates to constraint `cᵢ` and the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellState {
     /// `_` in the paper: `pⱼ` does not appear in `cᵢ`.
     NotPresent,

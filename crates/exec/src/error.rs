@@ -23,9 +23,6 @@ pub enum ExecError {
     /// The plan demands a probe shape (e.g. a range) the attribute's index
     /// cannot serve.
     UnsupportedProbe(AttrRef),
-    /// A batch probe re-keys the root index probe, but the plan's root is a
-    /// sequential scan — there is no probe key to override.
-    RootOverrideNeedsIndex(ClassId),
     /// The plan violated a planner/executor contract (e.g. a join step
     /// whose `from_class` was never bound). Always a bug in the planner
     /// or a stale cached plan — surfaced as an error so one corrupt plan
@@ -46,9 +43,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::UnsupportedProbe(a) => {
                 write!(f, "index on {a} cannot serve the plan's probe set")
-            }
-            ExecError::RootOverrideNeedsIndex(c) => {
-                write!(f, "probe re-keys the root of {c} but the plan's root is a scan")
             }
             ExecError::MalformedPlan(what) => write!(f, "malformed plan: {what}"),
         }

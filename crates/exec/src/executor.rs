@@ -110,7 +110,7 @@ pub fn execute_with(
 
 /// Produces the candidate objects of the driving class access into `out`,
 /// counting work and applying the residual filter over the batch.
-pub(crate) fn produce(
+fn produce(
     db: &Database,
     access: &ClassAccess,
     counters: &mut CostCounters,
@@ -136,7 +136,7 @@ pub(crate) fn produce(
 
 /// Residual evaluation over a candidate slice: compacts `out` in place to
 /// the objects passing every residual predicate.
-pub(crate) fn retain_residual(
+fn retain_residual(
     db: &Database,
     access: &ClassAccess,
     counters: &mut CostCounters,
@@ -176,7 +176,7 @@ fn eval_residual(
 /// Fills `out` with the surviving bindings of one pointer-join step from the
 /// current parent binding: link traversal, then batch residual evaluation,
 /// then join and cycle-edge filters.
-pub(crate) fn fill_step_level(
+fn fill_step_level(
     db: &Database,
     step: &JoinStep,
     binding: &[(ClassId, ObjectId)],
@@ -265,7 +265,7 @@ fn value_of(
     Ok(db.value(attr, oid)?.clone())
 }
 
-pub(crate) fn emit(
+fn emit(
     db: &Database,
     plan: &PhysicalPlan,
     binding: &[(ClassId, ObjectId)],

@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod cost;
 mod error;
 mod executor;
@@ -22,7 +21,6 @@ mod plan;
 mod planner;
 mod result;
 
-pub use batch::{execute_batch, execute_batch_with, BatchExecScratch, ProbeBinding};
 pub use cost::{point_of, CostModel};
 pub use error::ExecError;
 pub use executor::{execute, execute_with, ExecScratch};

@@ -1,11 +1,11 @@
 //! The request frontend: admission control, load shedding, and the async
 //! task body that drives [`QueryService::try_run`]'s singleflight seam.
 //!
-//! The same seam carries the batch execution tier's temporal gather
-//! window: with `ServiceConfig::batch_window > 1` a warm duplicate that
-//! arrives while a hit's execution is in flight surfaces here as
-//! [`TryRun::Follower`], so [`run_one`]'s existing follower/abort/retry
-//! machinery fans grouped answers out without any frontend-specific code.
+//! [`run_one`] is the non-blocking twin of [`QueryService::run`]: both
+//! drive the service's one request pipeline the same way (`Done` answers,
+//! a `Leader` completes the miss, a `Follower` waits, an aborted flight
+//! retries) — `run` parks the calling thread on a follower's wait, while
+//! `run_one` awaits it wakerfully so a waiting client holds no worker.
 
 use std::future::Future;
 use std::pin::Pin;

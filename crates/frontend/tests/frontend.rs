@@ -240,43 +240,3 @@ fn stats_completed_never_exceeds_admitted() {
     assert_eq!(last.completed, last.admitted, "drained frontend has no stragglers");
     assert_eq!(last.in_flight, 0);
 }
-
-/// With `batch_window > 1` a warm burst gathers through *hit flights*:
-/// each duplicate either leads one shared execution or follows it, so the
-/// whole burst is accounted by the batch counters — and the singleflight
-/// counters stay zero, because no miss was deduplicated.
-#[test]
-fn warm_burst_groups_through_hit_flights() {
-    const BURST: usize = 256;
-    let (base, queries) = service(13);
-    let grouped = Arc::new(QueryService::with_versioned_db(
-        base.store(),
-        Arc::clone(base.versioned_db()),
-        sqo_service::ServiceConfig { batch_window: 8, ..Default::default() },
-    ));
-    // Warm the plan cache so the burst is pure hit traffic.
-    let reference = grouped.run(&queries[0]).unwrap();
-    let frontend = Frontend::new(
-        Arc::clone(&grouped),
-        FrontendConfig { workers: 4, queue_depth: BURST, p99_bound_us: None },
-    );
-    let handles: Vec<_> = (0..BURST)
-        .map(|_| frontend.submit(&queries[0]).expect("queue sized for the whole burst"))
-        .collect();
-    for handle in handles {
-        let done = handle.wait().result.expect("warm burst succeeds");
-        assert!(done.cache_hit, "burst requests ride the warmed entry");
-        assert!(done.results.same_multiset(&reference.results));
-    }
-    let stats = frontend.shutdown();
-    assert_eq!(stats.completed, BURST as u64);
-    let svc = grouped.stats();
-    assert_eq!(svc.optimizations, 1, "the warm-up run optimized once, the burst never: {svc:?}");
-    assert_eq!(svc.batch_size, BURST as u64, "every burst request joined a hit flight: {svc:?}");
-    assert!(
-        (1..=BURST as u64).contains(&svc.batch_groups),
-        "group count is scheduling-dependent but bounded: {svc:?}"
-    );
-    assert_eq!(svc.singleflight_leaders, 0, "hit flights are not miss dedup: {svc:?}");
-    assert_eq!(svc.singleflight_followers, 0, "{svc:?}");
-}

@@ -46,6 +46,20 @@ use sqo_query::{Query, QueryFingerprint};
 
 use crate::singleflight::FlightTable;
 
+/// How a cached optimization answers: with a physical plan, or — when the
+/// optimizer proved the predicate set unsatisfiable — with no plan at all.
+#[derive(Debug)]
+pub enum CachedPlan {
+    /// The answer is empty in every database state satisfying the
+    /// constraints; `columns` shapes the empty result set.
+    Empty {
+        /// Result columns, in the optimized query's projection order.
+        columns: Vec<AttrRef>,
+    },
+    /// The physical plan, shareable across executing threads.
+    Planned(Arc<PhysicalPlan>),
+}
+
 /// One cached optimization: everything needed to answer the query again
 /// without re-running the transformation fixpoint or the planner.
 #[derive(Debug)]
@@ -54,14 +68,8 @@ pub struct CacheEntry {
     pub canonical: Query,
     /// The semantically optimized query.
     pub optimized: Query,
-    /// The physical plan, shareable across executing threads. `None` iff
-    /// the optimizer proved the answer empty (no plan is ever needed).
-    pub plan: Option<Arc<PhysicalPlan>>,
-    /// The optimizer proved the predicate set unsatisfiable: the answer is
-    /// empty in every database state satisfying the constraints.
-    pub provably_empty: bool,
-    /// Result columns, for materializing empty answers without a plan.
-    pub columns: Vec<AttrRef>,
+    /// The plan the entry executes, or the proof that none is needed.
+    pub plan: CachedPlan,
     /// Result memo, gated on the **data epoch** it was computed at: a plan
     /// survives data writes, its materialized answer does not. Readers at
     /// the memo's epoch share the `Arc`; the first reader after a write
@@ -71,14 +79,8 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    pub fn new(
-        canonical: Query,
-        optimized: Query,
-        plan: Option<Arc<PhysicalPlan>>,
-        provably_empty: bool,
-        columns: Vec<AttrRef>,
-    ) -> Self {
-        Self { canonical, optimized, plan, provably_empty, columns, results: RwLock::new(None) }
+    pub fn new(canonical: Query, optimized: Query, plan: CachedPlan) -> Self {
+        Self { canonical, optimized, plan, results: RwLock::new(None) }
     }
 
     /// The memoized result set, iff it was computed at `data_epoch`.
@@ -385,7 +387,7 @@ mod tests {
     use super::*;
 
     fn entry(q: &Query) -> Arc<CacheEntry> {
-        Arc::new(CacheEntry::new(q.clone(), q.clone(), None, true, vec![]))
+        Arc::new(CacheEntry::new(q.clone(), q.clone(), CachedPlan::Empty { columns: vec![] }))
     }
 
     fn fp(v: u64) -> QueryFingerprint {

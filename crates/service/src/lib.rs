@@ -26,18 +26,21 @@
 //!   tiny: readers of different queries land on different
 //!   `parking_lot::RwLock` shards, readers of the same hot query share a
 //!   read lock.
-//! * A **prepared-query API** ([`QueryService::prepare`] →
-//!   [`QueryService::execute_prepared`]) re-executes one shared
-//!   [`sqo_exec::PhysicalPlan`] without re-planning, and a fixed
-//!   worker-pool [`QueryService::run_batch`] drives closed-loop throughput
-//!   experiments (E9, and the mixed read/write E11).
-//! * **Singleflight miss deduplication** ([`QueryService::try_run`] +
-//!   [`QueryService::complete_miss`]): concurrent cold misses on the same
-//!   `(fingerprint, store version, data epoch)` coordinates share one
-//!   optimization — the first registrant leads, duplicates follow on a
+//! * **One request pipeline** ([`QueryService::try_run`]): lookup →
+//!   result memo → singleflight flight → optimize → execute. Concurrent
+//!   cold misses on the same `(fingerprint, store version, data epoch)`
+//!   coordinates share one optimization — the first registrant leads
+//!   ([`QueryService::complete_miss`]), duplicates follow on a
 //!   [`MissWaiter`] (waker-based, no thread parked), and a leader that
 //!   dies mid-flight aborts cleanly instead of stranding its followers.
 //!   This is the non-blocking seam the `sqo-frontend` reactor drives.
+//! * **Entry points over that pipeline, not parallel paths**: the blocking
+//!   [`QueryService::run`] is `try_run` + wait (so closed-loop misses are
+//!   deduplicated too), the worker-pool [`QueryService::run_batch`] loops
+//!   over `run` (E9, and the mixed read/write E11), and the prepared-query
+//!   API ([`QueryService::prepare`] → [`QueryService::execute_prepared`])
+//!   re-executes one shared [`sqo_exec::PhysicalPlan`] through the same
+//!   lookup, build and execute stages.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -47,7 +50,7 @@ mod persist;
 mod service;
 mod singleflight;
 
-pub use cache::{CacheEntry, CacheStats, ShardedCache};
+pub use cache::{CacheEntry, CacheStats, CachedPlan, ShardedCache};
 pub use persist::{
     audit_constraints, decode_constraints, decode_plan_seeds, encode_constraints,
     encode_plan_seeds, rebuild_store, ConstraintSeed, PlanSeed,

@@ -22,7 +22,7 @@ use sqo_snapshot::{
     ByteReader, ByteWriter, LoadError, ValidationLevel,
 };
 
-use crate::cache::CacheEntry;
+use crate::cache::{CacheEntry, CachedPlan};
 
 /// Everything the CONSTRAINTS section carries: the store's semantic
 /// identity and the exact constraint list it compiled, sufficient to
@@ -348,17 +348,24 @@ pub fn encode_plan_seeds(
         w.u64(fp.0);
         write_query(&mut w, &entry.canonical);
         write_query(&mut w, &entry.optimized);
-        match &entry.plan {
-            Some(plan) => {
+        // The presence byte and the provably-empty flag both derive from
+        // the variant; a planned entry's columns are its plan's projections.
+        let columns: Vec<AttrRef> = match &entry.plan {
+            CachedPlan::Planned(plan) => {
                 w.u8(1);
                 write_plan(&mut w, plan);
+                w.u8(0);
+                plan.projections.iter().map(|p| p.attr).collect()
             }
-            None => w.u8(0),
-        }
-        w.u8(u8::from(entry.provably_empty));
-        w.u32(entry.columns.len() as u32);
-        for c in &entry.columns {
-            write_attr_ref(&mut w, *c);
+            CachedPlan::Empty { columns } => {
+                w.u8(0);
+                w.u8(1);
+                columns.clone()
+            }
+        };
+        w.u32(columns.len() as u32);
+        for c in columns {
+            write_attr_ref(&mut w, c);
         }
     }
     w.finish()
@@ -410,11 +417,13 @@ fn strict_check_plan(catalog: &Catalog, plan: &PhysicalPlan) -> Result<(), LoadE
 
 /// Decodes the PLANSEEDS section payload.
 ///
-/// Standard enforces the shape invariant the executor relies on (an entry
-/// is provably-empty **iff** it carries no plan — a violation would panic
-/// the execution path, so it is rejected before any seed reaches the
-/// cache). Strict additionally recomputes each canonical fingerprint and
-/// resolves every id the queries and plan skeletons mention.
+/// Standard enforces the shape invariant [`CachedPlan`] encodes (an entry
+/// is provably-empty **iff** it carries no plan — a seed violating it has
+/// no in-memory form, so it is rejected as malformed). A planned seed's
+/// stored columns are read and, at Strict, resolved, but the entry takes
+/// its columns from the plan's projections. Strict additionally
+/// recomputes each canonical fingerprint and resolves every id the
+/// queries and plan skeletons mention.
 ///
 /// # Errors
 /// [`LoadError::Malformed`] for structural damage, and at Strict
@@ -472,10 +481,11 @@ pub fn decode_plan_seeds(
                 })?;
             }
         }
-        seeds.push(PlanSeed {
-            fingerprint,
-            entry: CacheEntry::new(canonical, optimized, plan, provably_empty, columns),
-        });
+        let plan = match plan {
+            Some(plan) => CachedPlan::Planned(plan),
+            None => CachedPlan::Empty { columns },
+        };
+        seeds.push(PlanSeed { fingerprint, entry: CacheEntry::new(canonical, optimized, plan) });
     }
     r.expect_exhausted()?;
     Ok(seeds)

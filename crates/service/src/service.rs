@@ -1,8 +1,7 @@
-//! The concurrent query service: shared state, prepared queries, and the
-//! worker-pool batch front end.
+//! The concurrent query service: shared state, the one request pipeline
+//! behind [`QueryService::try_run`], and the entry points built on it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -11,8 +10,8 @@ use parking_lot::RwLock;
 use sqo_constraints::{ConstraintStore, HornConstraint, StoreVersion};
 use sqo_core::{OptimizerConfig, OptimizerScratch, SemanticOptimizer};
 use sqo_exec::{
-    execute_batch_with, execute_with, plan_query_shared, BatchExecScratch, CostBasedOracle,
-    CostModel, ExecError, ExecScratch, PhysicalPlan, ProbeBinding, ResultSet,
+    execute_with, plan_query_shared, CostBasedOracle, CostModel, ExecError, ExecScratch,
+    PhysicalPlan, ResultSet,
 };
 use sqo_query::{Query, QueryError, QueryFingerprint};
 use sqo_snapshot::{
@@ -20,7 +19,7 @@ use sqo_snapshot::{
 };
 use sqo_storage::{DataWrite, Database, StorageError, VersionedDatabase, WriteOutcome};
 
-use crate::cache::{CacheEntry, CacheStats, ShardedCache};
+use crate::cache::{CacheEntry, CacheStats, CachedPlan, ShardedCache};
 use crate::persist;
 use crate::singleflight::{FlightError, FlightKey, MissGuard, MissWaiter, Registered};
 
@@ -28,8 +27,8 @@ thread_local! {
     /// Per-worker reusable optimizer + executor buffers: the cold path of
     /// every service thread runs allocation-free once warmed up, without
     /// any cross-thread coordination.
-    static WORKER_SCRATCH: RefCell<(OptimizerScratch, ExecScratch, BatchExecScratch)> =
-        RefCell::new((OptimizerScratch::new(), ExecScratch::new(), BatchExecScratch::new()));
+    static WORKER_SCRATCH: RefCell<(OptimizerScratch, ExecScratch)> =
+        RefCell::new((OptimizerScratch::new(), ExecScratch::new()));
 }
 
 /// Anything that can go wrong answering a query or applying a write.
@@ -95,23 +94,14 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Total cached entries across all shards.
     pub cache_capacity: usize,
-    /// Also memoize result sets, not just rewrites and plans. Sound under
-    /// writes because the memo is gated on the data epoch it was computed
-    /// at: plans survive data writes, memoized results are recomputed on the
-    /// first request after one. Turn off to re-execute on every request.
-    pub cache_results: bool,
     /// Skip the cache entirely — every request re-optimizes, re-plans and
-    /// re-executes. The cold path of the E9 benchmark.
+    /// re-executes, with no result memo and no singleflight. The cold path
+    /// of the E9 benchmark and the uncached reference the oracles compare
+    /// against. Otherwise plans **and** result sets are memoized; the
+    /// result memo is gated on the data epoch it was computed at, so plans
+    /// survive data writes and results are recomputed on the first request
+    /// after one.
     pub bypass_cache: bool,
-    /// Gather window of the batch execution tier: warm requests on the same
-    /// `(fingerprint, store version, data epoch)` coordinates are answered
-    /// by **one** shared execution, fanned back out to every member. In
-    /// [`QueryService::run_batch`] the window is explicit — up to this many
-    /// consecutive requests are gathered before grouping; in
-    /// [`QueryService::try_run`] it is temporal — duplicates arriving while
-    /// a hit's execution is in flight join it. `1` disables grouping
-    /// (singleflight still dedups *misses* regardless).
-    pub batch_window: usize,
     /// Semantic-optimizer configuration used for every miss.
     pub optimizer: OptimizerConfig,
 }
@@ -121,9 +111,7 @@ impl Default for ServiceConfig {
         Self {
             shards: 16,
             cache_capacity: 1024,
-            cache_results: true,
             bypass_cache: false,
-            batch_window: 1,
             optimizer: OptimizerConfig::paper(),
         }
     }
@@ -153,12 +141,15 @@ impl PreparedQuery {
 
     /// The shared physical plan; `None` iff the answer is provably empty.
     pub fn plan(&self) -> Option<&Arc<PhysicalPlan>> {
-        self.entry.plan.as_ref()
+        match &self.entry.plan {
+            CachedPlan::Planned(plan) => Some(plan),
+            CachedPlan::Empty { .. } => None,
+        }
     }
 
     /// The optimizer proved the answer empty without touching the database.
     pub fn provably_empty(&self) -> bool {
-        self.entry.provably_empty
+        matches!(self.entry.plan, CachedPlan::Empty { .. })
     }
 }
 
@@ -176,8 +167,11 @@ pub struct ServiceResponse {
     pub data_epoch: u64,
 }
 
-/// How a [`QueryService::try_run`] call landed — the non-blocking
-/// counterpart of [`QueryService::run`]'s `ServiceResponse`.
+/// Where a request's pass through the pipeline stopped — what
+/// [`QueryService::try_run`] returns. [`QueryService::run`] and the
+/// frontend both drive it to a [`ServiceResponse`] the same way: `Done`
+/// is the answer, a `Leader` owes [`QueryService::complete_miss`], a
+/// `Follower` waits, and an aborted flight retries `try_run`.
 #[derive(Debug)]
 pub enum TryRun {
     /// Answered synchronously: a cache hit, the bypass path, or a
@@ -192,6 +186,16 @@ pub enum TryRun {
     Follower(MissWaiter),
 }
 
+/// A request after the lookup stage: the canonical query and the
+/// coordinates its entry is cached under.
+#[derive(Debug)]
+struct Probe {
+    canonical: Query,
+    store: Arc<ConstraintStore>,
+    version: StoreVersion,
+    fingerprint: QueryFingerprint,
+}
+
 /// Point-in-time service counters for the bench harness.
 ///
 /// Snapshots taken mid-flight are **self-consistent**: `accepted ==
@@ -201,7 +205,9 @@ pub enum TryRun {
 /// across successive snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// `run`/`run_batch`/`try_run` requests accepted.
+    /// Passes through [`QueryService::try_run`] — one per request from
+    /// `run`, `run_batch`, `try_run` and the frontend, plus one per retry
+    /// after an aborted flight.
     pub requests: u64,
     /// Requests that completed a plan-cache lookup. Exactly
     /// `cache.hits + cache.misses` in every snapshot; trails `requests`
@@ -220,12 +226,6 @@ pub struct ServiceStats {
     /// Misses that joined an already-in-flight optimization instead of
     /// running their own.
     pub singleflight_followers: u64,
-    /// Warm groups closed by the batch execution tier (each ran one shared
-    /// execution on behalf of every member).
-    pub batch_groups: u64,
-    /// Requests answered through a grouped execution, across all groups —
-    /// `batch_size / batch_groups` is the achieved mean gather width.
-    pub batch_size: u64,
     /// Current constraint-store epoch.
     pub epoch: u64,
     /// Current data epoch of the backing database.
@@ -289,8 +289,6 @@ pub struct QueryService {
     writes: AtomicU64,
     sf_leaders: AtomicU64,
     sf_followers: AtomicU64,
-    batch_groups: AtomicU64,
-    batch_size: AtomicU64,
 }
 
 impl QueryService {
@@ -327,8 +325,6 @@ impl QueryService {
             writes: AtomicU64::new(0),
             sf_leaders: AtomicU64::new(0),
             sf_followers: AtomicU64::new(0),
-            batch_groups: AtomicU64::new(0),
-            batch_size: AtomicU64::new(0),
         }
     }
 
@@ -426,49 +422,16 @@ impl QueryService {
 
     /// Canonicalizes, fingerprints and resolves `query` to its optimization
     /// artifacts — from the cache when possible, by running the full
-    /// semantic-optimization + planning pipeline on a miss.
+    /// semantic-optimization + planning pipeline on a miss (without
+    /// singleflight: the caller gets the entry, not an answer to share).
     pub fn prepare(&self, query: &Query) -> Result<PreparedQuery, ServiceError> {
-        let canonical = query.canonical();
-        let store = self.store();
-        let version = store.version();
-        let fingerprint = canonical.fingerprint_canonical();
-        if !self.config.bypass_cache {
-            if let Some(entry) = self.cache.get(fingerprint, &canonical, version) {
-                return Ok(PreparedQuery { entry, epoch: version.epoch, cache_hit: true });
-            }
-        }
-        let entry = Arc::new(self.build_entry(canonical, &store)?);
-        if !self.config.bypass_cache {
-            self.cache.insert(fingerprint, version, Arc::clone(&entry));
-        }
-        Ok(PreparedQuery { entry, epoch: version.epoch, cache_hit: false })
-    }
-
-    /// The miss path: semantic optimization, then planning (skipped when
-    /// the optimizer proves the answer empty). Both run against one
-    /// database snapshot, so cost estimates are internally consistent.
-    fn build_entry(
-        &self,
-        canonical: Query,
-        store: &Arc<ConstraintStore>,
-    ) -> Result<CacheEntry, ServiceError> {
-        let db = self.db.snapshot();
-        let optimizer =
-            SemanticOptimizer::shared_with_config(Arc::clone(store), self.config.optimizer);
-        let oracle = CostBasedOracle::with_model(&db, self.model);
-        let out = WORKER_SCRATCH
-            .with(|s| optimizer.optimize_with(&canonical, &oracle, &mut s.borrow_mut().0))?;
-        // ordering: monotone display counter.
-        self.optimizations.fetch_add(1, Ordering::Relaxed);
-        let provably_empty = out.report.provably_empty;
-        let (plan, columns) = if provably_empty {
-            (None, out.query.projections.iter().map(|p| p.attr).collect())
-        } else {
-            let plan = plan_query_shared(&db, &out.query, &self.model)?;
-            let columns = plan.projections.iter().map(|p| p.attr).collect();
-            (Some(plan), columns)
+        let (probe, hit) = self.lookup(query);
+        let epoch = probe.version.epoch;
+        let (entry, cache_hit) = match hit {
+            Some(entry) => (entry, true),
+            None => (self.build(probe)?, false),
         };
-        Ok(CacheEntry::new(canonical, out.query, plan, provably_empty, columns))
+        Ok(PreparedQuery { entry, epoch, cache_hit })
     }
 
     /// Executes a prepared query, sharing memoized results when they were
@@ -477,95 +440,39 @@ impl QueryService {
         &self,
         prepared: &PreparedQuery,
     ) -> Result<Arc<ResultSet>, ServiceError> {
-        self.execute_entry(&prepared.entry).map(|(results, _)| results)
+        Ok(self.execute(&prepared.entry, prepared.cache_hit, prepared.epoch)?.results)
     }
 
-    /// The execution core: resolves the current snapshot, serves the result
-    /// memo when its data epoch matches, re-executes otherwise. Returns the
-    /// results and the data epoch they are consistent with.
-    fn execute_entry(&self, entry: &CacheEntry) -> Result<(Arc<ResultSet>, u64), ServiceError> {
-        let db = self.db.snapshot();
-        let data_epoch = db.data_version();
-        let memoize = self.config.cache_results && !self.config.bypass_cache;
-        if memoize {
-            if let Some(cached) = entry.memoized_results(data_epoch) {
-                return Ok((cached, data_epoch));
-            }
-        }
-        let results = if entry.provably_empty {
-            Arc::new(ResultSet::new(entry.columns.clone()))
-        } else {
-            let plan = entry.plan.as_ref().expect("non-empty entries carry a plan");
-            let (res, _counters) =
-                WORKER_SCRATCH.with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
-            // ordering: monotone display counter.
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            Arc::new(res)
-        };
-        if memoize {
-            entry.publish_results(data_epoch, &results);
-        }
-        Ok((results, data_epoch))
-    }
-
-    /// [`QueryService::execute_entry`] through the batch executor: a
-    /// gathered group's one shared execution runs as a width-1
-    /// [`ProbeBinding::AsPlanned`] batch via [`execute_batch_with`] — the
-    /// group members are *identical* queries, so one probe answers them all
-    /// and the result is `Arc`-fanned out — while exercising exactly the
-    /// interleaved machinery wider (re-keyed) batches use.
-    fn execute_entry_group(
-        &self,
-        entry: &CacheEntry,
-    ) -> Result<(Arc<ResultSet>, u64), ServiceError> {
-        let db = self.db.snapshot();
-        let data_epoch = db.data_version();
-        let memoize = self.config.cache_results && !self.config.bypass_cache;
-        if memoize {
-            if let Some(cached) = entry.memoized_results(data_epoch) {
-                return Ok((cached, data_epoch));
-            }
-        }
-        let results = if entry.provably_empty {
-            Arc::new(ResultSet::new(entry.columns.clone()))
-        } else {
-            let plan = entry.plan.as_ref().expect("non-empty entries carry a plan");
-            let mut batch = WORKER_SCRATCH.with(|s| {
-                execute_batch_with(&db, plan, &[ProbeBinding::AsPlanned], &mut s.borrow_mut().2)
-            })?;
-            let (res, _counters) = batch.pop().expect("width-1 batch yields one result");
-            // ordering: monotone display counter.
-            self.executions.fetch_add(1, Ordering::Relaxed);
-            Arc::new(res)
-        };
-        if memoize {
-            entry.publish_results(data_epoch, &results);
-        }
-        Ok((results, data_epoch))
-    }
-
-    /// Prepare + execute in one call — the per-request entry point.
-    pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
-        // ordering: monotone display counter; `accepted` consistency is
-        // carried by the cache's lookups/hits pair, not this one.
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let prepared = self.prepare(query)?;
-        let (results, data_epoch) = self.execute_entry(&prepared.entry)?;
-        Ok(ServiceResponse {
-            results,
-            cache_hit: prepared.cache_hit,
-            epoch: prepared.epoch,
-            data_epoch,
-        })
-    }
-
-    /// The **non-blocking** per-request entry point for reactor-style
-    /// callers (the `sqo-frontend` crate): like [`QueryService::run`], but
-    /// a cache miss never waits behind another request's optimization.
+    /// Answers one query, blocking until it is answered: the synchronous
+    /// loop over [`QueryService::try_run`]. A hit answers inline, the
+    /// first miss on its coordinates leads the optimization
+    /// ([`QueryService::complete_miss`]), a concurrent duplicate waits for
+    /// that leader's answer, and a flight whose leader died is retried.
     ///
-    /// * A plan-cache hit (and the bypass path) is answered synchronously
-    ///   as [`TryRun::Done`] — execution is the caller's CPU work either
-    ///   way.
+    /// A thread must not call `run` for a query whose [`MissGuard`] it
+    /// holds itself: it would wait on its own flight.
+    pub fn run(&self, query: &Query) -> Result<ServiceResponse, ServiceError> {
+        loop {
+            match self.try_run(query)? {
+                TryRun::Done(response) => return Ok(response),
+                TryRun::Leader(guard) => return self.complete_miss(guard),
+                TryRun::Follower(waiter) => match waiter.wait() {
+                    Ok(response) => return Ok(response),
+                    Err(FlightError::Failed(e)) => return Err(e),
+                    Err(FlightError::Aborted) => continue,
+                },
+            }
+        }
+    }
+
+    /// The request pipeline, run as far as it can go without waiting:
+    /// lookup → result memo → flight → optimize → execute. Every entry
+    /// point that answers a query goes through here;
+    /// [`QueryService::run`] drives it to completion by blocking, the
+    /// `sqo-frontend` reactor by polling.
+    ///
+    /// * A plan-cache hit is executed (or served from the entry's result
+    ///   memo) and answered synchronously as [`TryRun::Done`].
     /// * The **first** miss on a `(fingerprint, store version, data
     ///   epoch)` coordinate becomes [`TryRun::Leader`]: the caller owes
     ///   the service one [`QueryService::complete_miss`] call, which runs
@@ -577,125 +484,44 @@ impl QueryService {
     ///   [`FlightError::Aborted`](crate::FlightError::Aborted) outcome
     ///   means the leader dropped its guard without completing — call
     ///   `try_run` again; the retry re-checks the cache and may lead.
+    /// * With `bypass_cache`, or on a fingerprint collision with the
+    ///   in-flight query, the miss runs solo and answers as `Done`.
     pub fn try_run(&self, query: &Query) -> Result<TryRun, ServiceError> {
         // ordering: monotone display counter; `accepted` consistency is
         // carried by the cache's lookups/hits pair, not this one.
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let canonical = query.canonical();
-        let store = self.store();
-        let version = store.version();
-        if self.config.bypass_cache {
-            let entry = Arc::new(self.build_entry(canonical, &store)?);
-            let (results, data_epoch) = self.execute_entry(&entry)?;
-            return Ok(TryRun::Done(ServiceResponse {
-                results,
-                cache_hit: false,
-                epoch: version.epoch,
-                data_epoch,
-            }));
+        let (probe, hit) = self.lookup(query);
+        let epoch = probe.version.epoch;
+        if let Some(entry) = hit {
+            return self.execute(&entry, true, epoch).map(TryRun::Done);
         }
-        let fingerprint = canonical.fingerprint_canonical();
-        if let Some(entry) = self.cache.get(fingerprint, &canonical, version) {
-            if self.config.batch_window > 1 {
-                return self.run_hit_grouped(entry, canonical, store, version, fingerprint);
-            }
-            let (results, data_epoch) = self.execute_entry(&entry)?;
-            return Ok(TryRun::Done(ServiceResponse {
-                results,
-                cache_hit: true,
-                epoch: version.epoch,
-                data_epoch,
-            }));
-        }
-        let key = FlightKey { fingerprint, version, data_epoch: self.db.data_epoch() };
-        match self.cache.flights().register(key, &canonical) {
-            Registered::Leader(flight) => {
-                // ordering: monotone display counter.
-                self.sf_leaders.fetch_add(1, Ordering::Relaxed);
-                let table = Arc::clone(self.cache.flights());
-                Ok(TryRun::Leader(MissGuard::new(key, canonical, store, table, flight)))
-            }
-            Registered::Follower(flight) => {
-                // ordering: monotone display counter.
-                self.sf_followers.fetch_add(1, Ordering::Relaxed);
-                Ok(TryRun::Follower(MissWaiter::new(flight)))
-            }
-            Registered::Collision => {
+        if !self.config.bypass_cache {
+            let key = FlightKey {
+                fingerprint: probe.fingerprint,
+                version: probe.version,
+                data_epoch: self.db.data_epoch(),
+            };
+            match self.cache.flights().register(key, &probe.canonical) {
+                Registered::Leader(flight) => {
+                    // ordering: monotone display counter.
+                    self.sf_leaders.fetch_add(1, Ordering::Relaxed);
+                    let table = Arc::clone(self.cache.flights());
+                    let guard = MissGuard::new(key, probe.canonical, probe.store, table, flight);
+                    return Ok(TryRun::Leader(guard));
+                }
+                Registered::Follower(flight) => {
+                    // ordering: monotone display counter.
+                    self.sf_followers.fetch_add(1, Ordering::Relaxed);
+                    return Ok(TryRun::Follower(MissWaiter::new(flight)));
+                }
                 // A 64-bit fingerprint collision with the in-flight query:
                 // sharing would serve the wrong answer, so this request
-                // runs the undeduplicated miss path on its own.
-                let entry = Arc::new(self.build_entry(canonical, &store)?);
-                self.cache.insert(fingerprint, version, Arc::clone(&entry));
-                let (results, data_epoch) = self.execute_entry(&entry)?;
-                Ok(TryRun::Done(ServiceResponse {
-                    results,
-                    cache_hit: false,
-                    epoch: version.epoch,
-                    data_epoch,
-                }))
+                // runs the undeduplicated miss below on its own.
+                Registered::Collision => {}
             }
         }
-    }
-
-    /// The temporal gather window of the batch tier: a warm hit (when
-    /// `batch_window > 1`) registers its `(fingerprint, store version,
-    /// data epoch)` coordinates in the singleflight table *before*
-    /// executing. The first arrival leads — it executes through the batch
-    /// executor, resolves the flight, and answers synchronously; duplicates
-    /// arriving during that execution become [`TryRun::Follower`]s and are
-    /// fanned the leader's `Arc`-shared answer through the exact machinery
-    /// miss followers already use. The window is the leader's execution
-    /// time: no timers, no added latency for unduplicated traffic.
-    ///
-    /// Hit flights bump `batch_groups`/`batch_size`, **not** the
-    /// `singleflight_*` counters, which keep meaning "deduplicated misses".
-    fn run_hit_grouped(
-        &self,
-        entry: Arc<CacheEntry>,
-        canonical: Query,
-        store: Arc<ConstraintStore>,
-        version: StoreVersion,
-        fingerprint: QueryFingerprint,
-    ) -> Result<TryRun, ServiceError> {
-        let key = FlightKey { fingerprint, version, data_epoch: self.db.data_epoch() };
-        match self.cache.flights().register(key, &canonical) {
-            Registered::Leader(flight) => {
-                let table = Arc::clone(self.cache.flights());
-                let guard = MissGuard::new(key, canonical, store, table, flight);
-                // ordering: monotone display counters.
-                self.batch_groups.fetch_add(1, Ordering::Relaxed);
-                self.batch_size.fetch_add(1, Ordering::Relaxed); // ordering: display counter
-                let outcome = self.execute_entry_group(&entry).map(|(results, data_epoch)| {
-                    ServiceResponse { results, cache_hit: true, epoch: version.epoch, data_epoch }
-                });
-                match outcome {
-                    Ok(response) => {
-                        guard.finish(Ok(response.clone()));
-                        Ok(TryRun::Done(response))
-                    }
-                    Err(e) => {
-                        guard.finish(Err(FlightError::Failed(e.clone())));
-                        Err(e)
-                    }
-                }
-            }
-            Registered::Follower(flight) => {
-                // ordering: monotone display counter.
-                self.batch_size.fetch_add(1, Ordering::Relaxed);
-                Ok(TryRun::Follower(MissWaiter::new(flight)))
-            }
-            Registered::Collision => {
-                // A fingerprint collision with the in-flight query: answer
-                // solo rather than share the wrong result.
-                let (results, data_epoch) = self.execute_entry(&entry)?;
-                Ok(TryRun::Done(ServiceResponse {
-                    results,
-                    cache_hit: true,
-                    epoch: version.epoch,
-                    data_epoch,
-                }))
-            }
-        }
+        let entry = self.build(probe)?;
+        self.execute(&entry, false, epoch).map(TryRun::Done)
     }
 
     /// Runs the miss pipeline a [`TryRun::Leader`] owes: semantic
@@ -708,15 +534,16 @@ impl QueryService {
     ///
     /// On failure the error is shared with the followers too (re-running
     /// the same pipeline would fail the same way).
-    pub fn complete_miss(&self, guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
+    pub fn complete_miss(&self, mut guard: MissGuard) -> Result<ServiceResponse, ServiceError> {
         let key = guard.key();
-        let built = self.build_entry(guard.canonical().clone(), guard.store());
-        let outcome = built.and_then(|entry| {
-            let entry = Arc::new(entry);
-            self.cache.insert(key.fingerprint, key.version, Arc::clone(&entry));
-            let (results, data_epoch) = self.execute_entry(&entry)?;
-            Ok(ServiceResponse { results, cache_hit: false, epoch: key.version.epoch, data_epoch })
-        });
+        let probe = Probe {
+            canonical: guard.take_canonical(),
+            store: Arc::clone(guard.store()),
+            version: key.version,
+            fingerprint: key.fingerprint,
+        };
+        let outcome =
+            self.build(probe).and_then(|entry| self.execute(&entry, false, key.version.epoch));
         match outcome {
             Ok(response) => {
                 guard.finish(Ok(response.clone()));
@@ -729,117 +556,20 @@ impl QueryService {
         }
     }
 
-    /// Answers `queries` on a fixed pool of `workers` threads (closed-loop:
-    /// each worker pulls the next request as soon as it finishes one).
-    /// Responses come back in request order.
+    /// Answers `queries` on a fixed pool of `workers` threads, each looping
+    /// over [`QueryService::run`] (closed-loop: a worker pulls the next
+    /// request as soon as it finishes one). Responses come back in request
+    /// order.
     ///
     /// A worker panic poisons only the requests that worker had claimed:
     /// each surfaces as [`ServiceError::WorkerPanicked`], every other
     /// request completes normally, and the caller is never aborted.
-    ///
-    /// With `batch_window > 1` (and the cache enabled) the stream first
-    /// passes through the batch tier's explicit gather window: consecutive
-    /// windows of up to `batch_window` requests are grouped by
-    /// `(fingerprint, store version, data epoch)`, each group runs the
-    /// pipeline **once**, and its answer is `Arc`-fanned back to every
-    /// member — a duplicate-heavy warm stream costs one execution per
-    /// distinct query per window instead of one per request.
     pub fn run_batch(
         &self,
         queries: &[Query],
         workers: usize,
     ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        if self.config.batch_window > 1 && !self.config.bypass_cache {
-            return self.run_batch_grouped(queries, workers);
-        }
         self.run_batch_with(queries, workers, |q| self.run(q))
-    }
-
-    /// The gather pass + worker loop behind grouped [`QueryService::run_batch`].
-    fn run_batch_grouped(
-        &self,
-        queries: &[Query],
-        workers: usize,
-    ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        let window = self.config.batch_window.max(1);
-        // Gather pass: within each consecutive window, requests landing on
-        // the same (fingerprint, store version, data epoch) coordinates
-        // merge into one group. The group keeps the canonical query, and a
-        // canonical-equality check guards against fingerprint collisions —
-        // a colliding request simply opens its own (unindexed) group.
-        let mut groups: Vec<(Query, Vec<usize>)> = Vec::new();
-        let mut open: HashMap<(QueryFingerprint, StoreVersion, u64), usize> = HashMap::new();
-        for (i, query) in queries.iter().enumerate() {
-            if i % window == 0 {
-                open.clear();
-            }
-            let canonical = query.canonical();
-            let key =
-                (canonical.fingerprint_canonical(), self.store().version(), self.db.data_epoch());
-            match open.get(&key) {
-                Some(&g) if groups[g].0 == canonical => groups[g].1.push(i),
-                Some(_) => groups.push((canonical, vec![i])),
-                None => {
-                    open.insert(key, groups.len());
-                    groups.push((canonical, vec![i]));
-                }
-            }
-        }
-        let workers = workers.clamp(1, groups.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut out: Vec<Result<ServiceResponse, ServiceError>> =
-            (0..queries.len()).map(|_| Err(ServiceError::WorkerPanicked)).collect();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let groups = &groups;
-                    let tx = tx.clone();
-                    scope.spawn(move || loop {
-                        // ordering: work-index claim; RMW atomicity alone makes indexes
-                        // unique, and scope join orders results after all claims.
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((canonical, members)) = groups.get(g) else { break };
-                        let _ = tx.send((g, self.run_group(canonical, members.len())));
-                    })
-                })
-                .collect();
-            drop(tx);
-            for (g, response) in rx {
-                for &i in &groups[g].1 {
-                    out[i] = response.clone();
-                }
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
-        });
-        out
-    }
-
-    /// One gathered group: resolve the cache entry once (building it on a
-    /// miss), run one shared execution through the batch executor, and
-    /// account all `size` members.
-    fn run_group(&self, canonical: &Query, size: usize) -> Result<ServiceResponse, ServiceError> {
-        // ordering: monotone display counter.
-        self.requests.fetch_add(size as u64, Ordering::Relaxed);
-        let store = self.store();
-        let version = store.version();
-        let fingerprint = canonical.fingerprint_canonical();
-        let (entry, cache_hit) = match self.cache.get(fingerprint, canonical, version) {
-            Some(entry) => (entry, true),
-            None => {
-                let entry = Arc::new(self.build_entry(canonical.clone(), &store)?);
-                self.cache.insert(fingerprint, version, Arc::clone(&entry));
-                (entry, false)
-            }
-        };
-        let (results, data_epoch) = self.execute_entry_group(&entry)?;
-        // ordering: monotone display counters.
-        self.batch_groups.fetch_add(1, Ordering::Relaxed);
-        self.batch_size.fetch_add(size as u64, Ordering::Relaxed); // ordering: display counter
-        Ok(ServiceResponse { results, cache_hit, epoch: version.epoch, data_epoch })
     }
 
     /// [`QueryService::run_batch`] generic over the per-query closure, so
@@ -884,6 +614,91 @@ impl QueryService {
             }
         });
         out
+    }
+
+    /// Stage one of every request: canonicalize, fingerprint, and probe
+    /// the plan cache at the current store version (no probe under
+    /// `bypass_cache`).
+    fn lookup(&self, query: &Query) -> (Probe, Option<Arc<CacheEntry>>) {
+        let canonical = query.canonical();
+        let store = self.store();
+        let version = store.version();
+        let fingerprint = canonical.fingerprint_canonical();
+        let hit = if self.config.bypass_cache {
+            None
+        } else {
+            self.cache.get(fingerprint, &canonical, version)
+        };
+        (Probe { canonical, store, version, fingerprint }, hit)
+    }
+
+    /// Builds the entry for a missed probe and publishes it to the cache
+    /// at the probe's store version (unless the cache is bypassed).
+    fn build(&self, probe: Probe) -> Result<Arc<CacheEntry>, ServiceError> {
+        let entry = Arc::new(self.build_entry(probe.canonical, &probe.store)?);
+        if !self.config.bypass_cache {
+            self.cache.insert(probe.fingerprint, probe.version, Arc::clone(&entry));
+        }
+        Ok(entry)
+    }
+
+    /// The miss path: semantic optimization, then planning (skipped when
+    /// the optimizer proves the answer empty). Both run against one
+    /// database snapshot, so cost estimates are internally consistent.
+    fn build_entry(
+        &self,
+        canonical: Query,
+        store: &Arc<ConstraintStore>,
+    ) -> Result<CacheEntry, ServiceError> {
+        let db = self.db.snapshot();
+        let optimizer =
+            SemanticOptimizer::shared_with_config(Arc::clone(store), self.config.optimizer);
+        let oracle = CostBasedOracle::with_model(&db, self.model);
+        let out = WORKER_SCRATCH
+            .with(|s| optimizer.optimize_with(&canonical, &oracle, &mut s.borrow_mut().0))?;
+        // ordering: monotone display counter.
+        self.optimizations.fetch_add(1, Ordering::Relaxed);
+        let plan = if out.report.provably_empty {
+            CachedPlan::Empty { columns: out.query.projections.iter().map(|p| p.attr).collect() }
+        } else {
+            CachedPlan::Planned(plan_query_shared(&db, &out.query, &self.model)?)
+        };
+        Ok(CacheEntry::new(canonical, out.query, plan))
+    }
+
+    /// The last stage of every request: serve the entry's result memo
+    /// when it was computed at the current data epoch, execute otherwise,
+    /// and answer — the one place a [`ServiceResponse`] is built.
+    fn execute(
+        &self,
+        entry: &CacheEntry,
+        cache_hit: bool,
+        epoch: u64,
+    ) -> Result<ServiceResponse, ServiceError> {
+        let db = self.db.snapshot();
+        let data_epoch = db.data_version();
+        let memoize = !self.config.bypass_cache;
+        let memo = if memoize { entry.memoized_results(data_epoch) } else { None };
+        let results = match memo {
+            Some(cached) => cached,
+            None => {
+                let results = match &entry.plan {
+                    CachedPlan::Empty { columns } => Arc::new(ResultSet::new(columns.clone())),
+                    CachedPlan::Planned(plan) => {
+                        let (res, _counters) = WORKER_SCRATCH
+                            .with(|s| execute_with(&db, plan, &mut s.borrow_mut().1))?;
+                        // ordering: monotone display counter.
+                        self.executions.fetch_add(1, Ordering::Relaxed);
+                        Arc::new(res)
+                    }
+                };
+                if memoize {
+                    entry.publish_results(data_epoch, &results);
+                }
+                results
+            }
+        };
+        Ok(ServiceResponse { results, cache_hit, epoch, data_epoch })
     }
 
     /// Serializes the full service state into a `.sqos` snapshot: the
@@ -991,8 +806,6 @@ impl QueryService {
             writes: self.writes.load(Ordering::Relaxed),               // ordering: display counter
             singleflight_leaders: self.sf_leaders.load(Ordering::Relaxed), // ordering: display counter
             singleflight_followers: self.sf_followers.load(Ordering::Relaxed), // ordering: display counter
-            batch_groups: self.batch_groups.load(Ordering::Relaxed), // ordering: display counter
-            batch_size: self.batch_size.load(Ordering::Relaxed),     // ordering: display counter
             epoch: self.epoch(),
             data_epoch: self.data_epoch(),
             cache,
@@ -1263,117 +1076,6 @@ mod tests {
         let response = service.complete_miss(guard).unwrap();
         assert!(!response.cache_hit);
         assert!(matches!(service.try_run(&queries[0]).unwrap(), TryRun::Done(r) if r.cache_hit));
-    }
-
-    #[test]
-    fn grouped_run_batch_matches_ungrouped_and_shares_executions() {
-        let s = paper_scenario(DbSize::Db1, 42);
-        let store = Arc::new(s.store);
-        let db = Arc::new(s.db);
-        // Result memoization off so the executions counter counts real
-        // plan executions — the quantity grouping is meant to shrink.
-        let grouped = QueryService::with_config(
-            Arc::clone(&store),
-            Arc::clone(&db),
-            ServiceConfig { cache_results: false, batch_window: 8, ..Default::default() },
-        );
-        let reference = QueryService::with_config(
-            store,
-            db,
-            ServiceConfig { cache_results: false, ..Default::default() },
-        );
-        // Duplicate-heavy stream: 16 copies of one query.
-        let batch: Vec<Query> = std::iter::repeat_with(|| s.queries[0].clone()).take(16).collect();
-        // One worker: the two groups run in order, so the second is
-        // deterministically a plan-cache hit.
-        let out = grouped.run_batch(&batch, 1);
-        let baseline = reference.run_batch(&batch, 2);
-        for (r, b) in out.iter().zip(&baseline) {
-            let (r, b) = (r.as_ref().unwrap(), b.as_ref().unwrap());
-            assert!(r.results.same_multiset(&b.results));
-            assert_eq!(r.data_epoch, b.data_epoch);
-        }
-        let stats = grouped.stats();
-        assert_eq!(stats.requests, 16);
-        assert_eq!(stats.batch_groups, 2, "two gather windows => two groups: {stats:?}");
-        assert_eq!(stats.batch_size, 16, "every request was answered through a group");
-        assert_eq!(stats.executions, 2, "one shared execution per group");
-        assert_eq!(stats.optimizations, 1, "the second group hits the plan cache");
-        assert_eq!(reference.stats().executions, 16, "ungrouped re-executes per request");
-        // Group answers are Arc-fanned: members of one group share storage.
-        let first = out[0].as_ref().unwrap();
-        assert!(Arc::ptr_eq(&first.results, &out[7].as_ref().unwrap().results));
-        assert!(!first.cache_hit, "first group built the entry");
-        assert!(out[15].as_ref().unwrap().cache_hit, "second group hit it");
-    }
-
-    #[test]
-    fn grouped_run_batch_mixes_distinct_queries_per_window() {
-        let (_, queries) = service();
-        let s = paper_scenario(DbSize::Db1, 42);
-        let service = QueryService::with_config(
-            Arc::new(s.store),
-            Arc::new(s.db),
-            ServiceConfig { cache_results: false, batch_window: 4, ..Default::default() },
-        );
-        // Window of 4 holding two distinct queries => two groups per window.
-        let batch: Vec<Query> =
-            [0usize, 0, 1, 1, 0, 1, 0, 1].into_iter().map(|i| queries[i].clone()).collect();
-        let out = service.run_batch(&batch, 1);
-        for (q, r) in batch.iter().zip(&out) {
-            let solo = service.run(q).unwrap();
-            assert!(r.as_ref().unwrap().results.same_multiset(&solo.results));
-        }
-        let stats = service.stats();
-        assert_eq!(stats.batch_groups, 4, "{stats:?}");
-        assert_eq!(stats.batch_size, 8, "{stats:?}");
-    }
-
-    #[test]
-    fn warm_hit_flight_gathers_duplicates() {
-        let s = paper_scenario(DbSize::Db1, 42);
-        let service = QueryService::with_config(
-            Arc::new(s.store),
-            Arc::new(s.db),
-            ServiceConfig { batch_window: 4, ..Default::default() },
-        );
-        let query = &s.queries[0];
-        let _ = service.run(query).unwrap(); // warm the plan cache
-        let canonical = query.canonical();
-        let key = FlightKey {
-            fingerprint: canonical.fingerprint_canonical(),
-            version: service.store().version(),
-            data_epoch: service.versioned_db().data_epoch(),
-        };
-        // Pin the hit's coordinates open, as if another thread's hit leader
-        // were mid-execution: a concurrent warm duplicate must *follow*.
-        let Registered::Leader(flight) = service.cache.flights().register(key, &canonical) else {
-            panic!("manual registration must lead")
-        };
-        let TryRun::Follower(waiter) = service.try_run(query).unwrap() else {
-            panic!("warm duplicate of an open hit flight must follow")
-        };
-        // The pinned leader aborts; the follower retries per protocol.
-        let guard = MissGuard::new(
-            key,
-            canonical,
-            service.store(),
-            Arc::clone(service.cache.flights()),
-            flight,
-        );
-        drop(guard);
-        assert!(matches!(waiter.wait(), Err(FlightError::Aborted)));
-        // Uncontended retry: the hit leads its own flight, executes inline,
-        // and answers synchronously.
-        let TryRun::Done(hit) = service.try_run(query).unwrap() else {
-            panic!("uncontended warm hit must answer synchronously")
-        };
-        assert!(hit.cache_hit);
-        let stats = service.stats();
-        assert_eq!(stats.batch_groups, 1, "{stats:?}");
-        assert_eq!(stats.batch_size, 2, "one follower + one leader: {stats:?}");
-        assert_eq!(stats.singleflight_leaders, 0, "hit flights are not miss dedup");
-        assert_eq!(stats.singleflight_followers, 0, "{stats:?}");
     }
 
     #[test]

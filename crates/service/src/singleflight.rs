@@ -206,9 +206,11 @@ impl MissGuard {
         self.key
     }
 
-    /// The canonical query the leader must optimize.
-    pub fn canonical(&self) -> &Query {
-        &self.canonical
+    /// Moves out the canonical query the leader must optimize, leaving an
+    /// empty query behind (the flight keeps its own copy for collision
+    /// checks).
+    pub(crate) fn take_canonical(&mut self) -> Query {
+        std::mem::replace(&mut self.canonical, Query::new())
     }
 
     pub(crate) fn store(&self) -> &Arc<ConstraintStore> {

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use sqo_constraints::{ConstraintId, ConstraintStore, StoreOptions, StoreVersion};
-use sqo_service::{CacheEntry, QueryService, ServiceConfig, ShardedCache};
+use sqo_service::{CacheEntry, CachedPlan, QueryService, ServiceConfig, ShardedCache};
 use sqo_workload::{paper_scenario, DbSize};
 
 fn store_pair() -> (Arc<ConstraintStore>, ConstraintStore) {
@@ -56,7 +56,11 @@ fn cow_swap_with_racing_stats_change_cannot_serve_a_stale_plan() {
     let cache = ShardedCache::new(4, 64);
     let canonical = s.queries[0].canonical();
     let fingerprint = canonical.fingerprint_canonical();
-    let entry = Arc::new(CacheEntry::new(canonical.clone(), canonical.clone(), None, true, vec![]));
+    let entry = Arc::new(CacheEntry::new(
+        canonical.clone(),
+        canonical.clone(),
+        CachedPlan::Empty { columns: vec![] },
+    ));
     cache.insert(fingerprint, a.version(), Arc::clone(&entry));
 
     // The swap to B completes and purges under B's identity. Under the old
@@ -82,7 +86,8 @@ fn future_epoch_strays_do_not_survive_a_store_swap() {
     assert!(a.epoch() > b.epoch());
     let cache = ShardedCache::new(1, 16);
     let q = sqo_query::Query::new();
-    let entry = Arc::new(CacheEntry::new(q.clone(), q.clone(), None, true, vec![]));
+    let entry =
+        Arc::new(CacheEntry::new(q.clone(), q.clone(), CachedPlan::Empty { columns: vec![] }));
     cache.insert(q.fingerprint(), a.version(), entry);
     cache.purge_stale(b.version());
     assert!(cache.is_empty(), "future-epoch entries from another store are stale, not fresh");

@@ -2,6 +2,7 @@
 //! invalidation-during-flight soundness case the flight key exists for.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sqo_service::{QueryService, TryRun};
 use sqo_workload::{paper_scenario, DbSize};
@@ -68,6 +69,46 @@ fn n_simultaneous_misses_run_one_optimization() {
         stats.cache.hits + stats.cache.misses,
         "stats snapshot must stay self-consistent"
     );
+}
+
+/// A blocking `run` on a query whose miss is already in flight follows
+/// that flight instead of optimizing again: `run` is `try_run` + wait, so
+/// closed-loop callers get the same miss deduplication as the frontend.
+///
+/// Deterministic: the main thread holds the leader guard until the
+/// second thread's `run` has registered as a follower, so that `run` can
+/// only be answered by the flight. The wait has a deadline so a `run`
+/// that bypasses the flight fails here instead of hanging.
+#[test]
+fn run_follows_an_in_flight_miss() {
+    let (service, queries) = service();
+    let query = &queries[0];
+
+    let TryRun::Leader(guard) = service.try_run(query).unwrap() else {
+        panic!("cold miss must lead")
+    };
+    let follower = {
+        let service = Arc::clone(&service);
+        let query = query.clone();
+        std::thread::spawn(move || service.run(&query))
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats().singleflight_followers < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "run never joined the in-flight miss: {:?}",
+            service.stats()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let led = service.complete_miss(guard).unwrap();
+    let followed = follower.join().unwrap().unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.optimizations, 1, "the follower shares the leader's optimization");
+    assert_eq!(stats.executions, 1, "and its execution");
+    assert_eq!((stats.singleflight_leaders, stats.singleflight_followers), (1, 1));
+    assert!(Arc::ptr_eq(&led.results, &followed.results), "one shared answer");
 }
 
 /// A constraint inserted while a miss is in flight must not let the flight

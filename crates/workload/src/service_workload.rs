@@ -36,11 +36,10 @@ impl Default for ServiceWorkloadConfig {
 }
 
 impl ServiceWorkloadConfig {
-    /// The batch-tier stress profile: few distinct queries under a steep
-    /// Zipf skew, so warm traffic is dominated by back-to-back duplicates
-    /// — the stream a gather window can actually group. Spellings stay
-    /// shuffled, so grouping has to happen on canonical fingerprints, not
-    /// on request bytes.
+    /// The duplicate-heavy profile: few distinct queries under a steep
+    /// Zipf skew, so traffic is dominated by back-to-back duplicates.
+    /// Spellings stay shuffled, so deduplication has to happen on
+    /// canonical fingerprints, not on request bytes.
     pub fn duplicate_heavy() -> Self {
         Self { distinct: 6, zipf_s: 1.6, ..Self::default() }
     }
@@ -201,8 +200,8 @@ mod tests {
         let pool = pool();
         let wl = service_workload(&pool, &ServiceWorkloadConfig::duplicate_heavy());
         assert_eq!(wl.distinct.len(), 6);
-        // The point of the profile: consecutive gather windows of 8 hold
-        // far fewer distinct queries than requests, so grouping pays.
+        // The point of the profile: any 8 consecutive requests hold far
+        // fewer distinct queries than requests.
         let mut groups = 0usize;
         for window in wl.indices.chunks(8) {
             let mut seen: Vec<usize> = window.to_vec();
