@@ -2,8 +2,9 @@
 //! the incremental `Arc` clone-and-patch ([`Database::with_writes`]) vs the
 //! from-scratch rebuild oracle ([`Database::with_writes_full`]), and the
 //! statistics side in isolation — per-touched-class delta folding (driven
-//! through an update-only batch, whose cost is dominated by the one-class
-//! stats recompute) vs the full rescan ([`Database::rebuild_statistics`]).
+//! through an update-only batch) vs the full rescan
+//! ([`Database::rebuild_statistics`]) — and the integrity-checked DB4
+//! duplicate insert the serving benchmark's `mixed_writes` workload issues.
 //!
 //! Quick mode: set `SQO_BENCH_SMOKE=1` (the CI bench-smoke job does) to run
 //! every benchmark at minimal sample counts — same code paths, a fraction
@@ -13,8 +14,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqo_catalog::AttrId;
-use sqo_storage::{DataWrite, Database, ObjectId};
-use sqo_workload::{copyable_rels, dup_insert, paper_scenario, DbSize};
+use sqo_storage::{DataWrite, Database, IntegrityOptions, ObjectId};
+use sqo_workload::{copyable_rels, dup_insert, dup_safe_classes, paper_scenario, DbSize};
 
 fn smoke() -> bool {
     std::env::var_os("SQO_BENCH_SMOKE").is_some_and(|v| v != "0")
@@ -59,8 +60,10 @@ fn bench_batch_apply(c: &mut Criterion) {
 }
 
 /// The statistics side in isolation: a one-attribute in-place update folds
-/// exactly one class's stats (plus the extent/index patch, which is tiny
-/// next to the per-class rescan), vs recomputing every class from scratch.
+/// exactly one class's stats, vs recomputing every class from scratch. The
+/// update also clones the class's extent and index shards; since the fold
+/// became one sort pass per attribute, that clone is no longer negligible:
+/// on DB2 the fold is about three fifths of the update, the clone the rest.
 fn bench_stats(c: &mut Criterion) {
     let db = paper_scenario(DbSize::Db2, 42).db;
     let catalog = db.catalog();
@@ -81,5 +84,23 @@ fn bench_stats(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch_apply, bench_stats);
+/// The write `mixed_writes` issues: one duplicate insert into the most
+/// written dup-safe class of DB4, integrity-checked.
+fn bench_db4_dup_insert(c: &mut Criterion) {
+    let db = paper_scenario(DbSize::Db4, 42).db;
+    let class = dup_safe_classes(db.catalog())[0];
+    let rels = copyable_rels(db.catalog(), class);
+    let write = [dup_insert(&db, class, 0, &rels)];
+    let mut group = tune(c, "writepath_db4");
+    group.bench_function("dup_insert_integrity", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                db.with_writes(&write, Some(IntegrityOptions::default())).expect("apply"),
+            )
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_batch_apply, bench_stats, bench_db4_dup_insert);
 criterion_main!(benches);

@@ -15,8 +15,10 @@
 //! batch touches** (`Arc::make_mut` clone-and-patch); untouched shards are
 //! shared with the source by pointer. Statistics fold the same way: the
 //! previous [`StatsSnapshot`] is carried over and only the touched classes'
-//! [`ClassStats`] / touched relationships' [`RelStats`] are recomputed, so a
-//! write batch costs O(touched classes + their incident links), not
+//! [`ClassStats`] (one sort pass per attribute) / touched relationships'
+//! [`RelStats`] (O(1) counters) are recomputed. A write batch therefore
+//! costs clones of the touched shards plus one sort per attribute of each
+//! touched class: O(touched rows) up to the sort's log factor, never
 //! O(database).
 //!
 //! ## Aliasing guarantees
@@ -45,7 +47,7 @@
 //! into a concurrent write path with a monotone data epoch; readers keep
 //! their `Arc` snapshot and are never torn by a write.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use sqo_catalog::{
     AttrId, AttrRef, AttrStats, Catalog, ClassDef, ClassId, ClassStats, Multiplicity, RelId,
@@ -56,7 +58,7 @@ use sqo_query::Predicate;
 use std::sync::Arc;
 
 use crate::error::StorageError;
-use crate::index::AttrIndex;
+use crate::index::{total_cmp, AttrIndex};
 use crate::links::RelLinks;
 use crate::object::ObjectId;
 
@@ -276,9 +278,10 @@ impl Database {
     /// shards of this snapshot, cloning and patching **only the shards the
     /// batch touches** — per-class extents and index banks, per-relationship
     /// link tables — and folding per-class/per-relationship statistics
-    /// deltas into the previous snapshot. Cost is O(touched classes + their
-    /// incident links); untouched state is shared with `self` by pointer.
-    /// `data_version` advances by one.
+    /// deltas into the previous snapshot. Cost is the clones of the touched
+    /// shards plus one sort pass per attribute of each touched class, all
+    /// O(touched rows) up to the sort's log factor; untouched state is
+    /// shared with `self` by pointer. `data_version` advances by one.
     ///
     /// The batch is **atomic**: any validation error (arity, types, unknown
     /// objects or attributes, missing links, or — when `integrity` is
@@ -1018,29 +1021,31 @@ fn enforce_rel_integrity(
     if options.enforce_multiplicity {
         // `left.multiplicity == One` means each left object links to
         // at most one right object.
-        if def.left.multiplicity == Multiplicity::One && lk.max_left_fanout() > 1 {
-            let object = (0..lk.left_cardinality() as u32)
-                .map(ObjectId)
-                .find(|o| lk.from_left(*o).len() > 1)
-                .expect("fanout > 1 implies a witness");
-            return Err(StorageError::MultiplicityViolated {
-                rel,
-                class: def.left.class,
-                object,
-                links: lk.from_left(object).len(),
-            });
+        if def.left.multiplicity == Multiplicity::One {
+            let over = (0..lk.left_cardinality() as u32)
+                .map(|o| (ObjectId(o), lk.from_left(ObjectId(o)).len()))
+                .find(|&(_, links)| links > 1);
+            if let Some((object, links)) = over {
+                return Err(StorageError::MultiplicityViolated {
+                    rel,
+                    class: def.left.class,
+                    object,
+                    links,
+                });
+            }
         }
-        if def.right.multiplicity == Multiplicity::One && lk.max_right_fanout() > 1 {
-            let object = (0..lk.right_cardinality() as u32)
-                .map(ObjectId)
-                .find(|o| lk.from_right(*o).len() > 1)
-                .expect("fanout > 1 implies a witness");
-            return Err(StorageError::MultiplicityViolated {
-                rel,
-                class: def.right.class,
-                object,
-                links: lk.from_right(object).len(),
-            });
+        if def.right.multiplicity == Multiplicity::One {
+            let over = (0..lk.right_cardinality() as u32)
+                .map(|o| (ObjectId(o), lk.from_right(ObjectId(o)).len()))
+                .find(|&(_, links)| links > 1);
+            if let Some((object, links)) = over {
+                return Err(StorageError::MultiplicityViolated {
+                    rel,
+                    class: def.right.class,
+                    object,
+                    links,
+                });
+            }
         }
     }
     Ok(())
@@ -1049,52 +1054,61 @@ fn enforce_rel_integrity(
 /// One class's statistics from one extent scan — the unit both the
 /// from-scratch [`build_statistics`] and the per-class folding of
 /// [`Database::with_writes`] are built from, so the two can never drift.
+///
+/// One stable sort per attribute yields everything. Its runs are the
+/// distinct values, each led by the value's first occurrence in object-id
+/// order (the representative reported, which matters only for `0.0` vs
+/// `-0.0`); the first and last runs lead with `min` and `max`. The top-3
+/// most common values order by count, ties broken by rendering for
+/// determinism; only runs at or above the third-highest count are rendered,
+/// each once, into a recycled buffer.
 fn class_statistics(cdef: &ClassDef, extent: &Extent) -> ClassStats {
-    let attrs = (0..cdef.attributes.len())
-        .map(|ai| {
-            let mut counts: HashMap<&Value, u64> = HashMap::new();
-            let mut min: Option<&Value> = None;
-            let mut max: Option<&Value> = None;
-            for tuple in extent {
-                let v = &tuple[ai];
-                *counts.entry(v).or_insert(0) += 1;
-                min = Some(match min {
-                    None => v,
-                    Some(m) => {
-                        if v.compare(m) == Some(std::cmp::Ordering::Less) {
-                            v
-                        } else {
-                            m
-                        }
-                    }
-                });
-                max = Some(match max {
-                    None => v,
-                    Some(m) => {
-                        if v.compare(m) == Some(std::cmp::Ordering::Greater) {
-                            v
-                        } else {
-                            m
-                        }
-                    }
-                });
+    let mut column: Vec<&Value> = Vec::with_capacity(extent.len());
+    let mut buf = String::new();
+    let mut attrs = Vec::with_capacity(cdef.attributes.len());
+    for ai in 0..cdef.attributes.len() {
+        column.clear();
+        column.extend(extent.iter().map(|tuple| &tuple[ai]));
+        column.sort_by(|a, b| total_cmp(a, b));
+        let mut distinct = 0;
+        let mut max = None;
+        // The three largest run lengths, descending.
+        let mut top = [0usize; 3];
+        for run in column.chunk_by(|a, b| a == b) {
+            distinct += 1;
+            max = Some(run[0]);
+            if run.len() > top[2] {
+                top[2] = run.len();
+                top.sort_unstable_by(|a, b| b.cmp(a));
             }
-            // Top-3 most common values, ties broken by rendering for
-            // determinism.
-            let mut mcvs: Vec<(Value, u64)> =
-                counts.iter().map(|(v, c)| ((*v).clone(), *c)).collect();
-            mcvs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.to_string().cmp(&b.0.to_string())));
-            mcvs.truncate(3);
-            AttrStats {
-                rows: extent.len() as u64,
-                distinct: counts.len() as u64,
-                min: min.cloned(),
-                max: max.cloned(),
-                mcvs,
-                histogram: Vec::new(),
+        }
+        // The count a run needs to make the top 3 (with fewer than three
+        // runs, every run makes it).
+        let cut = top[distinct.clamp(1, 3) - 1];
+        // Ascending by (count desc, rendering asc); at most 3 kept.
+        let mut mcvs: Vec<(usize, String, &Value)> = Vec::with_capacity(4);
+        for run in column.chunk_by(|a, b| a == b).filter(|run| run.len() >= cut) {
+            buf.clear();
+            let _ = write!(buf, "{}", run[0]); // a `String` sink cannot fail
+            let pos = mcvs.partition_point(|(n, r, _)| {
+                *n > run.len() || (*n == run.len() && r.as_str() < buf.as_str())
+            });
+            if pos < 3 {
+                mcvs.insert(pos, (run.len(), std::mem::take(&mut buf), run[0]));
+                if mcvs.len() > 3 {
+                    buf = mcvs.pop().map(|(_, evicted, _)| evicted).unwrap_or_default();
+                }
             }
-        })
-        .collect();
+        }
+        attrs.push(AttrStats {
+            rows: extent.len() as u64,
+            distinct: distinct as u64,
+            min: column.first().map(|v| (*v).clone()),
+            max: max.cloned(),
+            mcvs: mcvs.into_iter().map(|(n, _, v)| (v.clone(), n as u64)).collect(),
+            histogram: Vec::new(),
+        });
+    }
     ClassStats { cardinality: extent.len() as u64, attrs }
 }
 
@@ -1134,7 +1148,9 @@ pub(crate) fn build_statistics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sqo_catalog::example::figure21;
+    use sqo_catalog::DataType;
     use sqo_constraints::figure22;
     use sqo_query::CompOp;
 
@@ -1726,5 +1742,166 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(db.check_constraint(&c2).len(), 1);
+    }
+
+    /// The original sort-everything statistics pass, kept as the oracle
+    /// [`class_statistics`] must reproduce bit for bit.
+    fn class_statistics_reference(cdef: &ClassDef, extent: &Extent) -> ClassStats {
+        use std::collections::HashMap;
+        let attrs = (0..cdef.attributes.len())
+            .map(|ai| {
+                let mut counts: HashMap<&Value, u64> = HashMap::new();
+                let mut min: Option<&Value> = None;
+                let mut max: Option<&Value> = None;
+                for tuple in extent {
+                    let v = &tuple[ai];
+                    *counts.entry(v).or_insert(0) += 1;
+                    min = Some(match min {
+                        None => v,
+                        Some(m) => {
+                            if v.compare(m) == Some(std::cmp::Ordering::Less) {
+                                v
+                            } else {
+                                m
+                            }
+                        }
+                    });
+                    max = Some(match max {
+                        None => v,
+                        Some(m) => {
+                            if v.compare(m) == Some(std::cmp::Ordering::Greater) {
+                                v
+                            } else {
+                                m
+                            }
+                        }
+                    });
+                }
+                // Top-3 most common values, ties broken by rendering for
+                // determinism.
+                let mut mcvs: Vec<(Value, u64)> =
+                    counts.iter().map(|(v, c)| ((*v).clone(), *c)).collect();
+                mcvs.sort_by(|a, b| {
+                    b.1.cmp(&a.1).then_with(|| a.0.to_string().cmp(&b.0.to_string()))
+                });
+                mcvs.truncate(3);
+                AttrStats {
+                    rows: extent.len() as u64,
+                    distinct: counts.len() as u64,
+                    min: min.cloned(),
+                    max: max.cloned(),
+                    mcvs,
+                    histogram: Vec::new(),
+                }
+            })
+            .collect();
+        ClassStats { cardinality: extent.len() as u64, attrs }
+    }
+
+    /// A class of one `ty` column per entry of `types`.
+    fn class_of(types: &[DataType]) -> ClassDef {
+        ClassDef {
+            name: "t".into(),
+            attributes: types
+                .iter()
+                .enumerate()
+                .map(|(i, ty)| sqo_catalog::AttributeDef::new(format!("a{i}"), *ty))
+                .collect(),
+            parent: None,
+        }
+    }
+
+    /// Asserts the rewrite matches the oracle bit for bit: `Debug` tells
+    /// `0.0` from `-0.0`, which `PartialEq` on `f64` does not.
+    fn assert_matches_reference(cdef: &ClassDef, extent: &Extent) -> ClassStats {
+        let got = class_statistics(cdef, extent);
+        let want = class_statistics_reference(cdef, extent);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "extent {extent:?}");
+        got
+    }
+
+    fn floats(xs: &[f64]) -> Extent {
+        xs.iter().map(|x| vec![Value::float(*x).unwrap()]).collect()
+    }
+
+    #[test]
+    fn class_statistics_edge_cases() {
+        let int = class_of(&[DataType::Int]);
+        let ints = |xs: &[i64]| -> Extent { xs.iter().map(|x| vec![Value::Int(*x)]).collect() };
+
+        // Empty extent.
+        let s = assert_matches_reference(&int, &Vec::new());
+        assert_eq!((s.attrs[0].distinct, s.attrs[0].min.clone()), (0, None));
+        assert!(s.attrs[0].mcvs.is_empty());
+
+        // Fewer than three distinct values.
+        let s = assert_matches_reference(&int, &ints(&[4, 2, 4]));
+        assert_eq!(s.attrs[0].mcvs, vec![(Value::Int(4), 2), (Value::Int(2), 1)]);
+
+        // All distinct: the tie-break is the rendering, "10" < "2".
+        let s = assert_matches_reference(&int, &ints(&(1..=12).rev().collect::<Vec<_>>()));
+        let mcv_values: Vec<_> = s.attrs[0].mcvs.iter().map(|(v, _)| v.clone()).collect();
+        assert_eq!(mcv_values, vec![Value::Int(1), Value::Int(10), Value::Int(11)]);
+
+        // Renderings quote strings, so `"a "` sorts before `"a"`.
+        let strs = class_of(&[DataType::Str]);
+        let extent: Extent = ["b", "a", "c", "a "].iter().map(|x| vec![Value::str(x)]).collect();
+        let s = assert_matches_reference(&strs, &extent);
+        let mcv_values: Vec<_> = s.attrs[0].mcvs.iter().map(|(v, _)| v.clone()).collect();
+        assert_eq!(mcv_values, vec![Value::str("a "), Value::str("a"), Value::str("b")]);
+
+        // ±0.0 is one group represented by its first occurrence, for min,
+        // max and the MCV alike.
+        let float = class_of(&[DataType::Float]);
+        let s = assert_matches_reference(&float, &floats(&[-0.0, 0.0, 0.0]));
+        let neg =
+            |v: &Option<Value>| matches!(v, Some(Value::Float(x)) if x.get().is_sign_negative());
+        assert!(neg(&s.attrs[0].min) && neg(&s.attrs[0].max));
+        assert!(neg(&Some(s.attrs[0].mcvs[0].0.clone())));
+        assert_eq!((s.attrs[0].distinct, s.attrs[0].mcvs[0].1), (1, 3));
+        assert_matches_reference(&float, &floats(&[0.0, 1.5, -0.0, -2.0, -0.0, 1.5]));
+
+        // Several runs tied exactly at the cut: the smallest renderings win.
+        let s = assert_matches_reference(&int, &ints(&[7, 30, 30, 5, 5, 30, 7, 100, 100, 9]));
+        assert_eq!(
+            s.attrs[0].mcvs,
+            vec![(Value::Int(30), 3), (Value::Int(100), 2), (Value::Int(5), 2)]
+        );
+    }
+
+    const FLOATS: [f64; 8] = [0.0, -0.0, 1.5, -2.0, 10.0, 9.0, f64::INFINITY, f64::NEG_INFINITY];
+    const STRS: [&str; 8] = ["a", "a ", "a!", "", "b", "\"", "10", "9"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn class_statistics_matches_reference(
+            rows in prop::collection::vec(
+                (0i64..6, -12i64..=12, 0usize..FLOATS.len(), 0usize..STRS.len(), 0u8..2),
+                0..40,
+            )
+        ) {
+            let cdef = class_of(&[
+                DataType::Int,
+                DataType::Int,
+                DataType::Float,
+                DataType::Str,
+                DataType::Bool,
+            ]);
+            let extent: Extent = rows
+                .iter()
+                .map(|&(few, wide, f, s, b)| {
+                    vec![
+                        Value::Int(few),
+                        Value::Int(wide),
+                        Value::float(FLOATS[f]).unwrap(),
+                        Value::str(STRS[s]),
+                        Value::Bool(b == 1),
+                    ]
+                })
+                .collect();
+            assert_matches_reference(&cdef, &extent);
+        }
     }
 }

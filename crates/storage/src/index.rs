@@ -17,15 +17,18 @@ use crate::object::ObjectId;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrdValue(pub Value);
 
-impl OrdValue {
-    fn rank(&self) -> u8 {
-        match self.0 {
+/// [`OrdValue`]'s total order on borrowed values: `Value::compare` within a
+/// type, the type discriminant across types.
+pub(crate) fn total_cmp(a: &Value, b: &Value) -> Ordering {
+    fn rank(v: &Value) -> u8 {
+        match v {
             Value::Bool(_) => 0,
             Value::Int(_) => 1,
             Value::Float(_) => 2,
             Value::Str(_) => 3,
         }
     }
+    a.compare(b).unwrap_or_else(|| rank(a).cmp(&rank(b)))
 }
 
 impl PartialOrd for OrdValue {
@@ -36,10 +39,7 @@ impl PartialOrd for OrdValue {
 
 impl Ord for OrdValue {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.0.compare(&other.0) {
-            Some(o) => o,
-            None => self.rank().cmp(&other.rank()),
-        }
+        total_cmp(&self.0, &other.0)
     }
 }
 

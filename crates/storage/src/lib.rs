@@ -19,9 +19,11 @@
 //!   keep plans across data writes while re-gating memoized results.
 //!   Snapshot state is `Arc`-sharded per class and per relationship; a
 //!   write batch clones and patches only the shards it touches (extents,
-//!   index banks, link tables) and folds per-class statistics deltas into
-//!   the previous snapshot, so a batch costs O(touched classes + their
-//!   incident links) instead of O(database). [`Database::with_writes_full`]
+//!   index banks, link tables) and refolds only the touched classes'
+//!   statistics, one sort pass per attribute, into the previous snapshot.
+//!   A batch therefore costs clones of the touched shards plus that sort,
+//!   O(touched rows) up to the sort's log factor, instead of O(database).
+//!   [`Database::with_writes_full`]
 //!   keeps the rebuild-everything algorithm as the equivalence oracle, and
 //!   [`DataWrite::Update`] mutates attributes in place without paying
 //!   delete + re-insert renumbering. Every batch returns a
